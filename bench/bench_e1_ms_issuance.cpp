@@ -300,6 +300,13 @@ int main(int argc, char** argv) {
     json.field("single_call_us_per_ephid", us_single, 2);
     json.field("single_call_rate_per_s", rate_single, 0);
     json.field("allocs_per_request_ceiling", kMaxAllocsPerRequest, 1);
+    // §V-A3's figures beside ours: 13.7 µs per EphID (effective, 4
+    // processes) = 72.8k EphIDs/s; ours at 4 workers (or the widest sweep
+    // point when 4 is not swept).
+    json.field("paper_us_per_ephid", 13.7, 1);
+    json.field("paper_ephids_per_sec", 72800.0, 0);
+    json.field("parallel_us_per_ephid", 1e6 / rate_par, 2);
+    json.field("parallel_ephids_per_sec", rate_par, 0);
     json.begin_array("sweep");
     for (const auto& pt : sweep) {
       json.begin_object();

@@ -14,7 +14,9 @@
 //   * The three CCA-secure payload suites (§IV-A) at MTU size.
 //   * Ed25519: sign, scalar verify, and ed25519_verify_batch at the
 //     ServicePool chunk widths — the shared-doubling speedup the MS
-//     cert-chain check amortizes (Fig 3).
+//     cert-chain check amortizes (Fig 3) — plus a per-stage breakdown
+//     (decompress, scalar reduce, SHA-512, the [S]B − [k]A walk, encode,
+//     the [r]B walk, and the fe_mul / fe_sq / fe_invert primitives).
 //   * HMAC-DRBG: instantiate + fill against ChaChaRng (the per-request
 //     generator swap in ServicePool).
 //
@@ -42,8 +44,11 @@
 #include "crypto/chacha20.h"
 #include "crypto/drbg.h"
 #include "crypto/ed25519.h"
+#include "crypto/ed25519_internal.h"
+#include "crypto/fe25519.h"
 #include "crypto/modes.h"
 #include "crypto/rng.h"
+#include "crypto/sha2.h"
 #include "crypto/x25519.h"
 
 using namespace apna;
@@ -247,6 +252,76 @@ int main(int argc, char** argv) {
   std::printf("\nEd25519: sign %.1f µs, scalar verify %.1f µs\n",
               sign_ns / 1e3, verify_ns / 1e3);
 
+  // Per-stage breakdown: each stage of sign / verify timed on its own, on
+  // the same key, message and signature as above (crypto/ed25519_internal.h).
+  struct StageRow {
+    const char* stage;
+    double ns;
+  };
+  std::vector<StageRow> stage_rows;
+  {
+    namespace ei = ed25519_internal;
+    ei::GeP3 a_point;
+    if (!ei::ge_frombytes(a_point, kp.pub.data())) fatal("public key decode");
+    std::array<std::uint8_t, 64> wide{};
+    rng.fill(wide);
+    std::uint8_t k[32], s_out[32];
+    ei::sc_reduce(k, wide.data());
+    const std::uint8_t* s_sig = sig.data() + 32;
+    const std::size_t walk_iters = asym_iters;
+    const std::size_t fe_iters = aes_iters * 16;
+    std::uint8_t sink[32];
+    ei::GeP3 p3;
+    stage_rows.push_back({"decompress A (ge_frombytes)",
+        bench::time_per_op_ns(walk_iters, [&](std::size_t) {
+          if (!ei::ge_frombytes(p3, kp.pub.data())) fatal("decode");
+        })});
+    stage_rows.push_back({"sc_reduce (512-bit mod L)",
+        bench::time_per_op_ns(aes_iters, [&](std::size_t i) {
+          wide[0] = static_cast<std::uint8_t>(i);
+          ei::sc_reduce(k, wide.data());
+        })});
+    stage_rows.push_back({"sc_muladd", bench::time_per_op_ns(aes_iters, [&](std::size_t) {
+          ei::sc_muladd(s_out, k, s_sig, k);
+        })});
+    stage_rows.push_back({"SHA-512 of R||A||M (137 B)",
+        bench::time_per_op_ns(aes_iters, [&](std::size_t) {
+          Sha512 h;
+          h.update(ByteSpan(sig.data(), 32));
+          h.update(ByteSpan(kp.pub.data(), 32));
+          h.update(msg137);
+          const auto d = h.finish();
+          sink[0] ^= d[0];
+        })});
+    ei::GeP2 walk_out;
+    stage_rows.push_back({"[S]B - [k]A walk",
+        bench::time_per_op_ns(walk_iters, [&](std::size_t) {
+          walk_out = ei::ge_double_scalarmult_vartime(k, a_point, s_sig);
+        })});
+    stage_rows.push_back({"encode (ge_tobytes, 1 inversion)",
+        bench::time_per_op_ns(walk_iters, [&](std::size_t) {
+          ei::ge_tobytes(sink, walk_out);
+        })});
+    stage_rows.push_back({"[r]B fixed-base walk",
+        bench::time_per_op_ns(walk_iters, [&](std::size_t i) {
+          k[0] = static_cast<std::uint8_t>(i);
+          p3 = ei::ge_scalarmult_base(k);
+        })});
+    Fe fa = fe_frombytes(kp.pub.data()), fb = fe_frombytes(sig.data());
+    stage_rows.push_back({"fe_mul", bench::time_per_op_ns(fe_iters, [&](std::size_t) {
+          fa = fe_mul(fa, fb);
+        })});
+    stage_rows.push_back({"fe_sq", bench::time_per_op_ns(fe_iters, [&](std::size_t) {
+          fa = fe_sq(fa);
+        })});
+    stage_rows.push_back({"fe_invert", bench::time_per_op_ns(walk_iters, [&](std::size_t) {
+          fa = fe_invert(fa);
+        })});
+    std::printf("%36s %12s\n", "Ed25519 stage", "ns/op");
+    for (const auto& r : stage_rows) std::printf("%36s %12.0f\n", r.stage, r.ns);
+    if (fa.v[0] == 0xdead && sink[0] == 1) std::printf(" \n");  // keep results live
+  }
+
   struct BatchRow {
     std::uint64_t width;
     double per_sig_us;
@@ -360,6 +435,14 @@ int main(int argc, char** argv) {
     json.end_array();
     json.field("ed25519_sign_us", sign_ns / 1e3);
     json.field("ed25519_verify_us", verify_ns / 1e3);
+    json.begin_array("ed25519_stages");
+    for (const auto& r : stage_rows) {
+      json.begin_object();
+      json.field("stage", r.stage);
+      json.field("ns", r.ns, 0);
+      json.end_object();
+    }
+    json.end_array();
     json.begin_array("ed25519_batch_verify");
     for (const auto& r : batch_rows) {
       json.begin_object();

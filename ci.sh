@@ -110,7 +110,9 @@ echo "=== [tsan] build (concurrency-labelled tests only)"
 # lock-striped cache's epoch-stamping discipline under real interleavings.
 # The crypto label rides the TSan leg too: per-slot HMAC-DRBG independence
 # and concurrent ed25519_verify_batch (crypto_concurrency_test) are exactly
-# where a shared-scratch race would hide, and the KAT/property suites are
+# where a shared-scratch race would hide, and the KAT/property suites —
+# including the Ed25519 oracle differential and edge-KAT suites, whose
+# __int128 shifts and table indexing the ASan/UBSan leg also covers — are
 # cheap enough to keep as ballast.
 # persist_test rides the TSan leg too: service threads (AA revocations, RS
 # enrollment) funnel journal records through one PersistCoordinator sink
@@ -119,7 +121,8 @@ echo "=== [tsan] build (concurrency-labelled tests only)"
 cmake --build build-tsan -j "${jobs}" \
   --target router_concurrency_test router_test core_test control_plane_test \
   flow_cache_test scenario_test dns_concurrency_test persist_test \
-  crypto_test crypto_kat_test crypto_property_test crypto_concurrency_test
+  crypto_test crypto_kat_test crypto_property_test crypto_concurrency_test \
+  ed25519_differential_test ed25519_edge_kat_test
 echo "=== [tsan] test"
 ctest --test-dir build-tsan --output-on-failure -j "${jobs}" \
   -R '^(router_concurrency_test|router_test|core_test|control_plane_test|flow_cache_test|scenario_test|dns_concurrency_test|persist_test)$'

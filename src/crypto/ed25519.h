@@ -4,6 +4,28 @@
 // "To create digital signatures for certificates, we use the ed25519
 // signature scheme"). Signing uses a precomputed fixed-base table so the MS
 // can certify EphIDs at high rate (experiment E1).
+//
+// Algorithms (ref10 structure; internals in crypto/ed25519_internal.h):
+//   public key, sign  [s]B and [r]B by a signed radix-16 walk over a 32x8
+//                     affine Niels table of (j+1)·256^i·B (30 KB, built once
+//                     per process with one batched inversion): 64 mixed
+//                     additions and 4 doublings. Nonce and challenge are
+//                     reduced mod L by Barrett reduction; S = r + k·s by the
+//                     same reduction over a 512-bit product.
+//   verify            decompress A (one x^((p-5)/8) addition chain), then
+//                     ONE joint Straus walk for [S]B − [k]A: width-5 NAF
+//                     digits of k over 8 odd multiples of −A, width-8 NAF
+//                     digits of S over a 64-entry affine table of odd
+//                     multiples of B, sharing T-less doublings. The check is
+//                     encode(R') == R bytes (one inversion by addition chain).
+//
+// Constant time: signing and key derivation — everything that touches the
+// secret scalar s or the nonce r — runs without secret-dependent branches
+// or memory indices: the fixed-base table row is read in full and the entry
+// kept by mask, scalar reduction ends in masked conditional subtractions,
+// and inversion is a fixed addition chain. Verification handles only
+// public data and is variable time (NAF digits steer table indices and
+// additions), as is batch verification.
 #pragma once
 
 #include <array>
@@ -50,15 +72,19 @@ struct Ed25519BatchItem {
 /// toward the window additions alone as the batch grows. The z_i are
 /// 128-bit coefficients from `rng`, forced ≡ 1 (mod 8) so a single
 /// small-order (torsion) discrepancy is caught deterministically, not just
-/// with probability 7/8; like every cofactorless batch equation in the
-/// literature, co-crafted torsion offsets that cancel across signatures
-/// remain accepted only with the RLC's negligible probability for the
-/// prime-order component.
+/// with probability 7/8. Torsion discrepancies in TWO OR MORE signatures
+/// can cancel, though (z_i·T = T for every z_i ≡ 1 mod 8): e.g. two
+/// signatures under the order-2 key (0, −1) with odd challenges are each
+/// rejected by ed25519_verify yet pass the batch equation together. Only
+/// keys or R values with a small-order component can do this; honest keys
+/// and signatures never have one.
 ///
 /// On ANY batch-equation failure the sweep bisects recursively down to
-/// scalar ed25519_verify leaves, so the accept/reject set is bit-identical
-/// to calling ed25519_verify per item (property-tested over randomized
-/// corrupted batches in crypto_property_test).
+/// scalar ed25519_verify leaves, so apart from the cancelling-torsion case
+/// above the accept/reject set is identical to calling ed25519_verify per
+/// item (property-tested over randomized corrupted batches in
+/// crypto_property_test and over adversarial encodings, one per batch, in
+/// ed25519_differential_test).
 bool ed25519_verify_batch(std::span<const Ed25519BatchItem> items, bool* out,
                           Rng& rng);
 

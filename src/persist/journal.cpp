@@ -33,6 +33,10 @@ JournalWriter::JournalWriter(Vfs& vfs, std::string path, bool truncate,
 }
 
 bool JournalWriter::append(std::uint8_t type, ByteSpan payload) {
+  return enqueue(type, payload) && flush_due();
+}
+
+bool JournalWriter::enqueue(std::uint8_t type, ByteSpan payload) {
   std::lock_guard lk(mu_);
   if (stats_.degraded) {
     ++stats_.dropped;
@@ -47,47 +51,81 @@ bool JournalWriter::append(std::uint8_t type, ByteSpan payload) {
   buf_.push_back(type);
   buf_.insert(buf_.end(), payload.begin(), payload.end());
   ++buffered_records_;
+  ++enqueued_;
   ++stats_.appended;
-  if (buffered_records_ >= cfg_.group_commit_records)
-    (void)commit_locked();
+  return true;
+}
+
+bool JournalWriter::flush_due() {
+  std::unique_lock lk(mu_);
+  // The writing thread loops while groups filled up during its own write,
+  // so a group that is due never waits for an append that may not come.
+  while (!writing_ && !stats_.degraded && buffered_records_ > 0 &&
+         buffered_records_ >= cfg_.group_commit_records)
+    (void)write_out(lk);
   return !stats_.degraded;
 }
 
 Result<void> JournalWriter::commit() {
-  std::lock_guard lk(mu_);
-  return commit_locked();
+  std::unique_lock lk(mu_);
+  const std::uint64_t target = enqueued_;
+  for (;;) {
+    if (stats_.degraded)
+      return Result<void>(Errc::internal, "journal degraded");
+    if (durable_ >= target) return Result<void>::success();
+    if (writing_) {
+      written_cv_.wait(lk);
+      continue;
+    }
+    if (auto r = write_out(lk); !r) return r;
+  }
 }
 
-Result<void> JournalWriter::commit_locked() {
-  if (stats_.degraded)
-    return Result<void>(Errc::internal, "journal degraded");
-  if (buffered_records_ == 0) return Result<void>::success();
+Result<void> JournalWriter::write_out(std::unique_lock<std::mutex>& lk) {
+  writing_ = true;
+  std::swap(buf_, spare_);  // appends now fill the (empty) other buffer
   const std::size_t records = buffered_records_;
-  if (auto r = file_->append(ByteSpan(buf_.data(), buf_.size())); !r) {
-    // Sticky degraded mode: the buffered records are gone and every
-    // future append is counted as dropped — the control plane keeps
-    // issuing, explicitly non-durable.
-    stats_.degraded = true;
-    stats_.dropped += records;
-    stats_.appended -= records;
-    buf_.clear();
-    buffered_records_ = 0;
-    return r;
-  }
-  buf_.clear();
+  const std::uint64_t end = enqueued_;
   buffered_records_ = 0;
-  ++stats_.commits;
+  // An empty buffer here means every record is written but the last fsync
+  // failed: retry only the barrier.
+  const bool barrier_only = records == 0;
+  const std::uint64_t commit_no = stats_.commits + 1;
+  lk.unlock();
+
+  Result<void> wrote = Result<void>::success();
+  if (!barrier_only)
+    wrote = file_->append(ByteSpan(spare_.data(), spare_.size()));
   const bool want_sync =
       cfg_.fsync == FsyncPolicy::every_commit ||
       (cfg_.fsync == FsyncPolicy::every_n_commits &&
        cfg_.sync_every_n_commits != 0 &&
-       stats_.commits % cfg_.sync_every_n_commits == 0);
-  if (want_sync) {
-    if (auto r = file_->sync(); !r) {
-      ++stats_.sync_failures;  // counted, non-sticky: bytes reached the file
-      return r;
-    }
+       (barrier_only || commit_no % cfg_.sync_every_n_commits == 0));
+  Result<void> synced = Result<void>::success();
+  if (wrote && want_sync) synced = file_->sync();
+
+  lk.lock();
+  spare_.clear();
+  writing_ = false;
+  written_cv_.notify_all();
+  if (!wrote) {
+    // Sticky degraded mode: this group and the one filled behind it are
+    // gone and every future append is counted as dropped — the control
+    // plane keeps issuing, explicitly non-durable.
+    const std::size_t lost = records + buffered_records_;
+    stats_.degraded = true;
+    stats_.dropped += lost;
+    stats_.appended -= lost;
+    buf_.clear();
+    buffered_records_ = 0;
+    return wrote;
   }
+  if (!barrier_only) ++stats_.commits;
+  if (!synced) {
+    ++stats_.sync_failures;  // counted, non-sticky: bytes reached the file
+    return synced;
+  }
+  durable_ = end;
   return Result<void>::success();
 }
 

@@ -15,8 +15,15 @@
 // mode: subsequent records are counted as dropped and the service keeps
 // running. fsync failures are counted but non-sticky (the data reached
 // the file; only the durability barrier failed).
+//
+// Group commit runs with the writer's lock released: the thread that
+// writes a group out (file append + fsync) swaps the buffer first, so
+// other threads keep appending into the next group instead of waiting
+// behind the disk. One thread writes at a time and groups are written in
+// the order they were filled, so the file order is the append order.
 #pragma once
 
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -64,24 +71,43 @@ class JournalWriter final : public Sink {
   JournalWriter(Vfs& vfs, std::string path, bool truncate,
                 JournalConfig cfg = {});
 
+  /// enqueue() then flush_due(). False once the writer is degraded.
   bool append(std::uint8_t type, ByteSpan payload) override;
 
-  /// Flushes buffered frames and applies the fsync policy.
+  /// Buffers one frame without touching the file. False (the record is
+  /// counted as dropped) once the writer is degraded.
+  bool enqueue(std::uint8_t type, ByteSpan payload);
+
+  /// Writes the buffer out if a full group is waiting and no other thread
+  /// is writing; never waits for another thread's write. Returns
+  /// !degraded().
+  bool flush_due();
+
+  /// Returns once every record enqueued before the call is written and
+  /// its fsync (per policy) succeeded, or with the write / fsync error.
   Result<void> commit();
 
   bool degraded() const;
   Stats stats() const;
 
  private:
-  Result<void> commit_locked();
+  /// Writes the whole buffer (or, when it is empty, retries a failed
+  /// fsync) with `lk` released. Requires `lk` held and no write running.
+  Result<void> write_out(std::unique_lock<std::mutex>& lk);
 
   mutable std::mutex mu_;
+  std::condition_variable written_cv_;
   Vfs& vfs_;
   std::string path_;
   JournalConfig cfg_;
-  std::unique_ptr<VfsFile> file_;
-  Bytes buf_;
+  std::unique_ptr<VfsFile> file_;  // used only by the thread that is writing
+  Bytes buf_;                      // the group being filled
+  Bytes spare_;                    // the group being written
   std::size_t buffered_records_ = 0;
+  bool writing_ = false;
+  std::uint64_t enqueued_ = 0;  // records enqueued so far
+  std::uint64_t durable_ = 0;   // ... of which written and past their fsync
+                                // (per policy)
   Stats stats_{};
 };
 

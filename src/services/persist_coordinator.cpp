@@ -76,9 +76,23 @@ void PersistCoordinator::seed(std::vector<core::IssuedEphIdMeta> issued,
 }
 
 bool PersistCoordinator::append(std::uint8_t type, ByteSpan payload) {
-  std::lock_guard lock(mu_);
-  if (!journal_) return false;  // start() not run / failed — not durable
+  std::shared_ptr<persist::JournalWriter> journal;
+  bool enqueued = false;
+  {
+    std::lock_guard lock(mu_);
+    if (!journal_) return false;  // start() not run / failed — not durable
+    enqueued = fold_and_enqueue(type, payload);
+    journal = journal_;
+  }
+  // The group commit (file append + fsync) runs outside mu_, so other
+  // service threads keep appending into the next group meanwhile. The
+  // shared_ptr keeps a writer that a snapshot rotated out alive; rotation
+  // has already committed it, so this is then a no-op.
+  return enqueued && journal->flush_due();
+}
 
+bool PersistCoordinator::fold_and_enqueue(std::uint8_t type,
+                                          ByteSpan payload) {
   // Fold the above-core records into the snapshot aggregates. The codecs
   // mirror core/as_persist.cpp apply_record; a payload that fails to
   // decode still goes to the journal (recovery counts it as malformed).
@@ -117,14 +131,16 @@ bool PersistCoordinator::append(std::uint8_t type, ByteSpan payload) {
       break;  // core-visible records need no aggregate
   }
 
-  const bool appended = journal_->append(type, payload);
-  if (appended && cfg_.snapshot_every_records != 0 &&
+  // Folding and enqueueing happen under one lock hold, so a snapshot never
+  // carries a record that then also lands in the next generation's journal.
+  const bool enqueued = journal_->enqueue(type, payload);
+  if (enqueued && cfg_.snapshot_every_records != 0 &&
       ++records_since_snapshot_ >= cfg_.snapshot_every_records) {
     // Periodic cadence: a failed snapshot is counted and retried after
     // the next batch of records; journaling continues either way.
     (void)write_snapshot_locked();
   }
-  return appended;
+  return enqueued;
 }
 
 Result<void> PersistCoordinator::write_snapshot() {
@@ -165,7 +181,7 @@ Result<void> PersistCoordinator::write_snapshot_locked() {
   }
 
   if (journal_) accumulate(journal_base_, journal_->stats());
-  journal_ = std::make_unique<persist::JournalWriter>(
+  journal_ = std::make_shared<persist::JournalWriter>(
       vfs_, core::journal_path(dir_, next), /*truncate=*/true, cfg_.journal);
   generation_ = next;
   records_since_snapshot_ = 0;
@@ -186,9 +202,16 @@ Result<void> PersistCoordinator::write_snapshot_locked() {
 }
 
 Result<void> PersistCoordinator::commit() {
-  std::lock_guard lock(mu_);
-  if (!journal_) return Result<void>(Errc::internal, "coordinator not started");
-  return journal_->commit();
+  std::shared_ptr<persist::JournalWriter> journal;
+  {
+    std::lock_guard lock(mu_);
+    if (!journal_)
+      return Result<void>(Errc::internal, "coordinator not started");
+    journal = journal_;
+  }
+  // Waits for the disk without mu_; a rotation meanwhile commits this
+  // writer itself before the snapshot that supersedes it is published.
+  return journal->commit();
 }
 
 bool PersistCoordinator::degraded() const {

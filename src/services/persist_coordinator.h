@@ -17,7 +17,9 @@
 // newest snapshot can fall back a generation.
 //
 // Journal-write failure degrades the pipeline explicitly (counted,
-// non-durable) — issuance never blocks on a sick disk.
+// non-durable) — issuance never blocks on a sick disk. The group commit
+// runs outside the coordinator's lock: a service thread whose record
+// fills a group writes it out while the others keep appending.
 #pragma once
 
 #include <cstdint>
@@ -90,6 +92,9 @@ class PersistCoordinator final : public persist::Sink {
 
  private:
   Result<void> write_snapshot_locked();
+  /// Folds the record into the snapshot aggregates and enqueues it (no
+  /// file I/O unless the snapshot cadence is due). Requires mu_.
+  bool fold_and_enqueue(std::uint8_t type, ByteSpan payload);
 
   persist::Vfs& vfs_;
   std::string dir_;
@@ -101,7 +106,7 @@ class PersistCoordinator final : public persist::Sink {
   std::uint64_t records_since_snapshot_ = 0;
   std::uint64_t snapshots_written_ = 0;
   std::uint64_t snapshot_failures_ = 0;
-  std::unique_ptr<persist::JournalWriter> journal_;
+  std::shared_ptr<persist::JournalWriter> journal_;
   /// Totals carried across journal rotations (stats() = base + current).
   persist::JournalWriter::Stats journal_base_;
 

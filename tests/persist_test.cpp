@@ -7,8 +7,12 @@
 // corrupt-snapshot generation fallback, and concurrent sink appends.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
 #include <cstdlib>
+#include <future>
 #include <map>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -670,6 +674,126 @@ TEST(Coordinator, AutoSnapshotRotatesAndPrunesGenerations) {
   auto rv = rec.take();
   EXPECT_EQ(rv.snapshot_generation, st.generation);
   expect_matches_shadow(*rv.as, rv, shadow, mut.next_hid);
+}
+
+/// Vfs decorator whose files' sync() parks until release(): holds a group
+/// commit "on the disk" for as long as a test needs.
+class ParkingSyncVfs final : public persist::Vfs {
+ public:
+  explicit ParkingSyncVfs(persist::Vfs& inner) : inner_(inner) {}
+
+  void park_syncs() {
+    std::lock_guard lk(mu_);
+    parking_ = true;
+  }
+  /// True once a sync() is parked (false after `timeout`).
+  bool wait_parked(std::chrono::seconds timeout) {
+    std::unique_lock lk(mu_);
+    return cv_.wait_for(lk, timeout, [&] { return parked_ > 0; });
+  }
+  void release() {
+    std::lock_guard lk(mu_);
+    parking_ = false;
+    cv_.notify_all();
+  }
+
+  Result<std::unique_ptr<persist::VfsFile>> open_append(const std::string& path,
+                                                        bool truncate) override {
+    auto f = inner_.open_append(path, truncate);
+    if (!f) return f;
+    return std::unique_ptr<persist::VfsFile>(
+        std::make_unique<File>(*this, f.take()));
+  }
+  Result<Bytes> read_all(const std::string& path) override {
+    return inner_.read_all(path);
+  }
+  bool exists(const std::string& path) override { return inner_.exists(path); }
+  Result<void> rename(const std::string& from, const std::string& to) override {
+    return inner_.rename(from, to);
+  }
+  Result<void> remove(const std::string& path) override {
+    return inner_.remove(path);
+  }
+  std::vector<std::string> list(const std::string& dir) override {
+    return inner_.list(dir);
+  }
+  Result<void> mkdirs(const std::string& dir) override {
+    return inner_.mkdirs(dir);
+  }
+
+ private:
+  class File final : public persist::VfsFile {
+   public:
+    File(ParkingSyncVfs& owner, std::unique_ptr<persist::VfsFile> inner)
+        : owner_(owner), inner_(std::move(inner)) {}
+    Result<void> append(ByteSpan data) override { return inner_->append(data); }
+    Result<void> sync() override {
+      {
+        std::unique_lock lk(owner_.mu_);
+        ++owner_.parked_;
+        owner_.cv_.notify_all();
+        owner_.cv_.wait(lk, [&] { return !owner_.parking_; });
+        --owner_.parked_;
+      }
+      return inner_->sync();
+    }
+
+   private:
+    ParkingSyncVfs& owner_;
+    std::unique_ptr<persist::VfsFile> inner_;
+  };
+
+  persist::Vfs& inner_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool parking_ = false;
+  int parked_ = 0;
+};
+
+TEST(Coordinator, ParkedFsyncDoesNotBlockAnotherThreadsAppend) {
+  persist::MemVfs mem;
+  ParkingSyncVfs vfs(mem);
+  crypto::ChaChaRng rng(12);
+  AsState as(64512, core::AsSecrets::generate(rng));
+  services::PersistCoordinator::Config cfg;
+  cfg.journal.fsync = persist::FsyncPolicy::every_commit;
+  cfg.journal.group_commit_records = 1;  // every record completes a group
+  services::PersistCoordinator coord(vfs, "as", as, cfg);
+  ASSERT_TRUE(coord.start().ok());
+
+  const auto type = static_cast<std::uint8_t>(core::PersistRecordType::revoke_hid);
+  const Bytes first = bytes_of("first"), second = bytes_of("second");
+  vfs.park_syncs();
+  // Thread A's record fills a group; its group commit parks in fsync.
+  std::thread a([&] { EXPECT_TRUE(coord.append(type, span_of(first))); });
+  ASSERT_TRUE(vfs.wait_parked(std::chrono::seconds(30)));
+
+  // While A's fsync is parked: a second thread's append completes, and
+  // commit() does not return (the data is not durable yet).
+  auto appended = std::async(std::launch::async,
+                             [&] { return coord.append(type, span_of(second)); });
+  const bool append_done =
+      appended.wait_for(std::chrono::seconds(30)) == std::future_status::ready;
+  auto committed = std::async(std::launch::async, [&] { return coord.commit(); });
+  const bool commit_early = committed.wait_for(std::chrono::milliseconds(50)) ==
+                            std::future_status::ready;
+  vfs.release();
+  a.join();
+  EXPECT_TRUE(append_done) << "append waited behind another thread's fsync";
+  EXPECT_TRUE(appended.get());
+  EXPECT_FALSE(commit_early) << "commit returned before the fsync finished";
+  EXPECT_TRUE(committed.get().ok());
+  EXPECT_FALSE(coord.degraded());
+
+  // File order is append order.
+  std::vector<Bytes> seen;
+  persist::replay_journal_file(mem, core::journal_path("as", 1),
+                               [&](std::uint8_t t, ByteSpan p) {
+                                 EXPECT_EQ(t, type);
+                                 seen.emplace_back(p.begin(), p.end());
+                               });
+  EXPECT_EQ(seen, (std::vector<Bytes>{first, second}));
+  EXPECT_EQ(coord.stats().journal.commits, 2u);
 }
 
 TEST(Coordinator, RestartResumesAtNextGeneration) {
